@@ -25,11 +25,9 @@
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
-use camelot_core::{CommitMode, EngineConfig, TwoPhaseVariant};
+use camelot_core::CommitMode;
 use camelot_net::Outcome;
-use camelot_rt::{
-    audit_family, budget_for, AuditProtocol, BatchPolicy, Cluster, PhaseSnapshot, RtConfig,
-};
+use camelot_rt::{BatchPolicy, Cluster, PhaseSnapshot, RtConfig};
 use camelot_types::{Duration, ObjectId, ServerId, SiteId};
 
 const SITES: u32 = 2;
@@ -160,83 +158,6 @@ fn phases_json(s: &PhaseSnapshot) -> String {
     format!("{{{}}}", parts.join(", "))
 }
 
-/// Post-sweep protocol-cost audit: one clean traced 1-subordinate
-/// transaction per protocol configuration, counts checked against the
-/// paper's budget (exact forces/lazy, datagrams in range). Returns
-/// `(name, result)` per configuration.
-fn audit_sweep() -> Vec<(&'static str, Result<String, String>)> {
-    let configs: [(AuditProtocol, EngineConfig, CommitMode, bool); 4] = [
-        (
-            AuditProtocol::TwoPhaseDelayed,
-            EngineConfig::default(),
-            CommitMode::TwoPhase,
-            true,
-        ),
-        (
-            AuditProtocol::TwoPhaseStandard,
-            EngineConfig::for_variant(TwoPhaseVariant::Unoptimized),
-            CommitMode::TwoPhase,
-            true,
-        ),
-        (
-            AuditProtocol::ReadOnly,
-            EngineConfig::default(),
-            CommitMode::TwoPhase,
-            false,
-        ),
-        (
-            AuditProtocol::NonBlocking,
-            EngineConfig::default(),
-            CommitMode::NonBlocking,
-            true,
-        ),
-    ];
-    let mut out = Vec::new();
-    for (protocol, engine, mode, write) in configs {
-        let cfg = RtConfig {
-            datagram_delay: StdDuration::from_millis(1),
-            platter_delay: StdDuration::from_millis(1),
-            engine,
-            trace: true,
-            ..RtConfig::default()
-        };
-        let cluster = Cluster::new(2, cfg);
-        let client = cluster.client(SiteId(1));
-        let tid = client.begin().expect("audit begin");
-        if write {
-            client
-                .write(&tid, SiteId(1), SRV, ObjectId(1), b"a".to_vec())
-                .expect("audit home write");
-            client
-                .write(&tid, SiteId(2), SRV, ObjectId(2), b"b".to_vec())
-                .expect("audit remote write");
-        } else {
-            client
-                .read(&tid, SiteId(1), SRV, ObjectId(1))
-                .expect("audit home read");
-            client
-                .read(&tid, SiteId(2), SRV, ObjectId(2))
-                .expect("audit remote read");
-        }
-        let outcome = client.commit(&tid, mode).expect("audit commit");
-        assert_eq!(outcome, Outcome::Committed);
-        // Let cleanup traffic (ack flush, lazy record flush) land —
-        // it is part of the audited budget.
-        std::thread::sleep(StdDuration::from_millis(400));
-        let events = cluster.drain_trace();
-        cluster.shutdown();
-        let budget = budget_for(protocol);
-        let result = audit_family(tid.family, &events, &budget).map(|c| {
-            format!(
-                "{} force(s) + {} lazy + {} datagram(s)",
-                c.forces, c.lazy_appends, c.datagrams
-            )
-        });
-        out.push((protocol.name(), result));
-    }
-    out
-}
-
 fn main() {
     let quick = camelot_bench::quick();
     let threads: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
@@ -294,7 +215,7 @@ fn main() {
     );
     json.push_str(&format!(
         "  \"stamp\": {},\n",
-        camelot_bench::stamp_json(&config_text)
+        camelot_scope::stamp_json(&config_text)
     ));
     json.push_str(&format!(
         "  \"sites\": {SITES},\n  \"clients\": {CLIENTS},\n  \"txns_per_client\": {txns},\n"
@@ -390,26 +311,8 @@ fn main() {
     // against a clean traced run of each configuration. A violation
     // fails the bench so CI smoke runs catch budget drift.
     println!("\nprotocol-cost audit (paper budgets, Tables 1-2):");
-    let audits = audit_sweep();
-    let mut violated = false;
-    json.push_str("  \"audit\": {");
-    for (i, (name, result)) in audits.iter().enumerate() {
-        match result {
-            Ok(counts) => {
-                println!("  {name}: ok ({counts})");
-                json.push_str(&format!("\"{name}\": \"ok\""));
-            }
-            Err(e) => {
-                println!("  {name}: VIOLATION: {e}");
-                json.push_str(&format!("\"{name}\": \"violation\""));
-                violated = true;
-            }
-        }
-        if i + 1 != audits.len() {
-            json.push_str(", ");
-        }
-    }
-    json.push_str("}\n}\n");
+    let (audit, violated) = camelot_bench::audit::protocol_audit(&RtConfig::default());
+    json.push_str(&format!("  \"audit\": {audit}\n}}\n"));
 
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

@@ -44,7 +44,9 @@ use std::time::{Duration, Instant};
 
 use camelot_bench::{quick, OpenLoop, SplitMix64};
 use camelot_node::ctrl::CtrlClient;
-use camelot_node::procs::{sibling_site_bin, AddrBoard, Supervisor, SupervisorConfig};
+use camelot_node::procs::{
+    bail_on_budget_exhaustion, balance, sibling_site_bin, AddrBoard, Supervisor, SupervisorConfig,
+};
 use camelot_scope::{merge_skew_aware, parse_jsonl, Collector, ScopeEvent, ScrapeTarget};
 use camelot_types::{ObjectId, ServerId, SiteId};
 
@@ -126,14 +128,6 @@ fn parse_opts() -> Opts {
         usage();
     }
     opts
-}
-
-fn balance(raw: &[u8]) -> i64 {
-    if raw.is_empty() {
-        0
-    } else {
-        i64::from_le_bytes(raw.try_into().expect("8-byte balance"))
-    }
 }
 
 // ---------------------------------------------------------------- faults
@@ -586,23 +580,6 @@ fn dump_traces(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>, violations: &[Strin
     );
 }
 
-fn bail_on_budget_exhaustion(sup: &Supervisor) {
-    let failed = sup.failed_sites();
-    if failed.is_empty() {
-        return;
-    }
-    for f in &failed {
-        eprintln!(
-            "camelot-soak: site {} exhausted its restart budget (last exit: {})",
-            f.site.0, f.status
-        );
-        for line in &f.stderr_tail {
-            eprintln!("  | {line}");
-        }
-    }
-    exit(1);
-}
-
 // ---------------------------------------------------------------- main
 
 fn main() {
@@ -719,7 +696,7 @@ fn main() {
 
     while start.elapsed() < opts.duration {
         sup.poll();
-        bail_on_budget_exhaustion(&sup);
+        bail_on_budget_exhaustion(&sup, "camelot-soak");
         while next_event < script.len() && start.elapsed() >= script[next_event].0 {
             let (_, ev) = &script[next_event];
             apply_event(&mut sup, opts.sites, ev, &mut ctx.fault_log);

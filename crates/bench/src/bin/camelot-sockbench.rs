@@ -1,6 +1,6 @@
-//! `camelot-sockbench`: the same open-loop offered-rate ladder as
-//! `camelot-load`, driven against three deployments of the same
-//! protocol stack:
+//! `camelot-sockbench`: the `camelot-load` open-loop offered-rate
+//! ladder, run by the same driver ([`camelot_bench::driver`]) against
+//! three deployments of the same protocol stack:
 //!
 //! - **inproc** — the in-process real-thread runtime (`camelot-rt`
 //!   `Cluster`), where inter-site datagrams are channel handoffs;
@@ -9,8 +9,7 @@
 //!   reliable-channel machinery);
 //! - **tcp** — the same cluster over framed TCP streams.
 //!
-//! Every transport sees the *same* seeded workload from the same
-//! generator (SplitMix64 + Zipf + OpenLoop), paced open-loop so
+//! Every transport sees the *same* seeded workload, paced open-loop so
 //! backlog counts against the system, and reports saturation
 //! throughput plus p50/p95/p99 total and commit latency per offered
 //! rate. The gap between inproc and the socket rows is the paper's
@@ -24,30 +23,40 @@
 //!
 //! Socket rows also snapshot each site's `TransportStats` (sends,
 //! send failures, reconnects, queue drops/depths), so a ladder that
-//! saturates shows *where* it saturated.
+//! saturates shows *where* it saturated, and attach a critical-path
+//! attribution of the point's commits from the merged cluster trace.
 //!
 //! Results land in `BENCH_socket.json`, stamped with git SHA + config
-//! hash. `QUICK=1` shrinks everything for CI smoke. The
-//! `camelot-site` binary is found next to this one (override with
-//! `CAMELOT_SITE_BIN`).
+//! hash, with the collector's scrape series of every socket point in
+//! `BENCH_socket_scrape.jsonl`. `QUICK=1` shrinks everything for CI
+//! smoke. The `camelot-site` binary is found next to this one
+//! (override with `CAMELOT_SITE_BIN`).
+//!
+//! Usage: `cargo run --release --bin camelot-sockbench --
+//! [--transports inproc,udp,tcp] [--sites 3] [--rates 100,200,400]
+//! [--theta 0.99] [--keys 64] [--duration-ms 3000] [--read-pct 40]
+//! [--dist-pct 20] [--nb-pct 10] [--seed 7] [--out PATH]`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration as StdDuration, Instant};
+use std::time::Duration as StdDuration;
 
-use camelot_bench::{hist_json, quick, stamp_json, work_channel, OpenLoop, SplitMix64, Zipf};
-use camelot_core::{CommitMode, EngineConfig};
-use camelot_net::{Outcome, TransportStats};
-use camelot_node::ctrl::CtrlClient;
-use camelot_node::procs::{distribute_peers, sibling_site_bin, wait_quiesce, SiteProc, SpawnSpec};
-use camelot_obs::AtomicHistogram;
-use camelot_rt::{Cluster, Histogram, RtConfig};
-use camelot_scope::{
-    attribute, merge_skew_aware, parse_jsonl, Attribution, Collector, ScrapeTarget,
+use camelot_bench::driver::{InprocSession, Ladder, LadderArgs, Point, SocketSession};
+use camelot_bench::quick;
+use camelot_net::TransportStats;
+use camelot_node::procs::{
+    distribute_peers, fast_engine, sibling_site_bin, wait_quiesce, SiteProc, SpawnSpec,
 };
-use camelot_types::{Duration, ObjectId, ServerId, SiteId};
+use camelot_rt::{Cluster, RtConfig};
+use camelot_scope::{attribute, merge_skew_aware, parse_jsonl, Collector, ScrapeTarget};
+use camelot_types::SiteId;
 
-const SRV: ServerId = ServerId(1);
+const LADDER: Ladder = Ladder {
+    bench: "socket_transports",
+    kind: "transport",
+    file: "BENCH_socket.json",
+    workers: (8, 64),
+};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Transport {
@@ -79,154 +88,56 @@ impl Transport {
 struct Args {
     transports: Vec<Transport>,
     sites: u32,
-    rates: Vec<f64>,
-    theta: f64,
-    keys: usize,
-    duration_ms: u64,
-    read_pct: u64,
-    dist_pct: u64,
-    nb_pct: u64,
-    seed: u64,
-    out: Option<String>,
+    ladder: LadderArgs,
 }
 
 impl Args {
-    fn parse() -> Args {
-        let q = quick();
-        let mut args = Args {
+    fn defaults(quick: bool) -> Args {
+        Args {
             transports: vec![Transport::Inproc, Transport::Udp, Transport::Tcp],
-            sites: if q { 2 } else { 3 },
-            rates: if q {
-                vec![30.0, 60.0]
+            sites: if quick { 2 } else { 3 },
+            ladder: if quick {
+                LadderArgs::new(vec![30.0, 60.0], 64, 800)
             } else {
-                vec![100.0, 200.0, 400.0, 600.0, 800.0]
+                LadderArgs::new(vec![100.0, 200.0, 400.0, 600.0, 800.0], 64, 3000)
             },
-            theta: 0.99,
-            keys: 64,
-            duration_ms: if q { 800 } else { 3000 },
-            read_pct: 40,
-            dist_pct: 20,
-            nb_pct: 10,
-            seed: 7,
-            out: None,
-        };
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let (flag, val) = (argv[i].as_str(), argv.get(i + 1));
-            let val = || {
-                val.unwrap_or_else(|| panic!("{flag} needs a value"))
-                    .as_str()
-            };
+        }
+    }
+
+    fn parse() -> Args {
+        let mut args = Args::defaults(quick());
+        let (transports, sites) = (&mut args.transports, &mut args.sites);
+        args.ladder.parse(|flag, val| {
             match flag {
                 "--transports" => {
-                    args.transports = val()
+                    *transports = val
                         .split(',')
                         .map(|t| Transport::parse(t).unwrap_or_else(|| panic!("transport {t}")))
                         .collect()
                 }
-                "--sites" => args.sites = val().parse().expect("sites"),
-                "--rates" => {
-                    args.rates = val().split(',').map(|r| r.parse().expect("rate")).collect()
-                }
-                "--theta" => args.theta = val().parse().expect("theta"),
-                "--keys" => args.keys = val().parse().expect("keys"),
-                "--duration-ms" => args.duration_ms = val().parse().expect("duration-ms"),
-                "--read-pct" => args.read_pct = val().parse().expect("read-pct"),
-                "--dist-pct" => args.dist_pct = val().parse().expect("dist-pct"),
-                "--nb-pct" => args.nb_pct = val().parse().expect("nb-pct"),
-                "--seed" => args.seed = val().parse().expect("seed"),
-                "--out" => args.out = Some(val().to_string()),
-                other => panic!("unknown flag {other}"),
+                "--sites" => *sites = val.parse().expect("sites"),
+                _ => return false,
             }
-            i += 2;
-        }
+            true
+        });
         assert!(args.sites >= 2, "need at least 2 sites");
         args
     }
 
     fn config_text(&self) -> String {
         format!(
-            "sites={} theta={} keys={} duration_ms={} read_pct={} dist_pct={} nb_pct={} \
-             seed={} rates={:?} transports={:?}",
+            "sites={} {} transports={:?}",
             self.sites,
-            self.theta,
-            self.keys,
-            self.duration_ms,
-            self.read_pct,
-            self.dist_pct,
-            self.nb_pct,
-            self.seed,
-            self.rates,
+            self.ladder.config_text(),
             self.transports
         )
     }
 }
 
-/// One scheduled transaction, fully decided by the seeded generator so
-/// every transport replays the identical workload.
-struct TxnSpec {
-    idx: u64,
-    due: Instant,
-    home: SiteId,
-    key: ObjectId,
-    key2: ObjectId,
-    read_only: bool,
-    distributed: bool,
-    nonblocking: bool,
-}
-
-#[derive(Default)]
-struct PointSink {
-    total: AtomicHistogram,
-    commit: AtomicHistogram,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    errors: AtomicU64,
-}
-
-struct PointResult {
-    offered_per_sec: f64,
-    arrivals: u64,
-    commits: u64,
-    aborts: u64,
-    errors: u64,
-    elapsed_s: f64,
-    achieved_commits_per_sec: f64,
-    total_lat: Histogram,
-    commit_lat: Histogram,
-    /// Summed per-site transport counters (socket transports only).
-    transport: Option<TransportStats>,
-    /// Scrape snapshots taken on a cadence during the point (socket
-    /// transports only) — appended to `BENCH_socket_scrape.jsonl`.
-    scrape: Option<String>,
-    /// Critical-path decomposition of the point's committed families
-    /// from the merged cluster trace (socket transports only).
-    attribution: Option<Attribution>,
-}
-
-/// The engine timer profile `camelot-site --fast` runs, mirrored here
-/// so the inproc baseline and the site processes execute the same
-/// protocol configuration.
-fn fast_engine() -> EngineConfig {
-    EngineConfig {
-        vote_timeout: Duration::from_millis(800),
-        inquiry_interval: Duration::from_millis(500),
-        notify_resend_interval: Duration::from_millis(400),
-        nb_outcome_timeout: Duration::from_millis(700),
-        takeover_window: Duration::from_millis(300),
-        recruit_window: Duration::from_millis(300),
-        takeover_retry: Duration::from_millis(600),
-        retry_cap: Duration::from_secs(5),
-        orphan_check_interval: Duration::from_secs(1),
-        ..EngineConfig::default()
-    }
-}
-
 /// Inproc runtime config: identical engine/WAL/server shape to the
-/// site processes, but datagrams cost nothing beyond the channel
-/// handoff — that zero is exactly the baseline the socket rows are
-/// measured against.
+/// site processes (which run `--fast`), but datagrams cost nothing
+/// beyond the channel handoff — that zero is exactly the baseline the
+/// socket rows are measured against.
 fn inproc_config() -> RtConfig {
     RtConfig {
         datagram_delay: StdDuration::ZERO,
@@ -237,237 +148,21 @@ fn inproc_config() -> RtConfig {
     }
 }
 
-fn worker_count(rate: f64) -> usize {
-    ((rate / 4.0) as usize).clamp(8, 64)
-}
-
-/// Draws the generator stream for one point. Identical (seed, rate)
-/// across transports → identical specs.
-struct Gen {
-    rng: SplitMix64,
-    zipf: Zipf,
-    sites: u32,
-    read_pct: u64,
-    dist_pct: u64,
-    nb_pct: u64,
-}
-
-impl Gen {
-    fn new(args: &Args, rate: f64) -> Gen {
-        Gen {
-            rng: SplitMix64::new(args.seed ^ (rate as u64)),
-            zipf: Zipf::new(args.keys, args.theta),
-            sites: args.sites,
-            read_pct: args.read_pct,
-            dist_pct: args.dist_pct,
-            nb_pct: args.nb_pct,
-        }
-    }
-
-    fn spec(&mut self, idx: u64, due: Instant) -> TxnSpec {
-        let roll = self.rng.next_below(100);
-        let read_only = roll < self.read_pct;
-        let distributed = !read_only && self.rng.next_below(100) < self.dist_pct;
-        let nonblocking = self.rng.next_below(100) < self.nb_pct;
-        TxnSpec {
-            idx,
-            due,
-            home: SiteId((idx % self.sites as u64) as u32 + 1),
-            key: ObjectId(self.zipf.sample(&mut self.rng) as u64),
-            key2: ObjectId(self.zipf.sample(&mut self.rng) as u64),
-            read_only,
-            distributed,
-            nonblocking,
-        }
-    }
-}
-
-/// Paces one point's arrivals open-loop into `send`, then returns
-/// (arrivals, elapsed at last release).
-fn pace<F: FnMut(TxnSpec)>(args: &Args, rate: f64, mut send: F) -> u64 {
-    let total = ((args.duration_ms as f64 / 1e3) * rate).max(1.0) as u64;
-    let mut gen = Gen::new(args, rate);
-    let start = Instant::now();
-    let mut ol = OpenLoop::new(start, rate, total);
-    while !ol.done() {
-        if let Some(due) = ol.next_due() {
-            let now = Instant::now();
-            if due > now {
-                std::thread::sleep(due.duration_since(now).min(StdDuration::from_millis(1)));
-                continue;
-            }
-        }
-        let released = ol.released();
-        let fresh = ol.due_now(Instant::now());
-        for j in 0..fresh {
-            let idx = released + j;
-            send(gen.spec(idx, ol.due_at(idx)));
-        }
-    }
-    total
-}
-
-fn record_outcome(
-    sink: &PointSink,
-    due: Instant,
-    commit_started: Instant,
-    outcome: Result<bool, ()>,
-) {
-    match outcome {
-        Ok(true) => {
-            sink.commits.fetch_add(1, Ordering::Relaxed);
-            sink.commit.record(commit_started.elapsed());
-            sink.total.record(due.elapsed());
-        }
-        Ok(false) => {
-            sink.aborts.fetch_add(1, Ordering::Relaxed);
-            sink.total.record(due.elapsed());
-        }
-        Err(()) => {
-            sink.errors.fetch_add(1, Ordering::Relaxed);
-            sink.total.record(due.elapsed());
-        }
-    }
-}
-
 /// One point against the in-process runtime.
-fn run_point_inproc(args: &Args, rate: f64) -> PointResult {
-    let cluster = Arc::new(Cluster::new(args.sites, inproc_config()));
-    let sink = Arc::new(PointSink::default());
-    let (tx, rx) = work_channel::<TxnSpec>();
-    let mut handles = Vec::new();
-    for _ in 0..worker_count(rate) {
-        let cluster = cluster.clone();
-        let sink = sink.clone();
-        let rx = rx.clone();
-        let sites = args.sites;
-        handles.push(std::thread::spawn(move || {
-            let clients: Vec<_> = (1..=sites).map(|s| cluster.client(SiteId(s))).collect();
-            while let Ok(spec) = rx.recv() {
-                let client = &clients[(spec.home.0 - 1) as usize];
-                let remote = SiteId(spec.home.0 % sites + 1);
-                let Ok(tid) = client.begin() else {
-                    sink.errors.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                };
-                let body = (|| -> Result<(), ()> {
-                    if spec.read_only {
-                        client
-                            .read(&tid, spec.home, SRV, spec.key)
-                            .map_err(|_| ())?;
-                        client
-                            .read(&tid, spec.home, SRV, spec.key2)
-                            .map_err(|_| ())?;
-                    } else {
-                        let mut next = client
-                            .read(&tid, spec.home, SRV, spec.key)
-                            .map_err(|_| ())?;
-                        next.extend_from_slice(&spec.idx.to_le_bytes());
-                        next.truncate(8);
-                        client
-                            .write(&tid, spec.home, SRV, spec.key, next)
-                            .map_err(|_| ())?;
-                        if spec.distributed {
-                            client
-                                .write(
-                                    &tid,
-                                    remote,
-                                    SRV,
-                                    spec.key2,
-                                    spec.idx.to_le_bytes().to_vec(),
-                                )
-                                .map_err(|_| ())?;
-                        }
-                    }
-                    Ok(())
-                })();
-                if body.is_err() {
-                    let _ = client.abort(&tid);
-                    record_outcome(&sink, spec.due, Instant::now(), Ok(false));
-                    continue;
-                }
-                let mode = if spec.nonblocking {
-                    CommitMode::NonBlocking
-                } else {
-                    CommitMode::TwoPhase
-                };
-                let commit_started = Instant::now();
-                let outcome = match client.commit(&tid, mode) {
-                    Ok(Outcome::Committed) => Ok(true),
-                    Ok(Outcome::Aborted) => Ok(false),
-                    Err(_) => {
-                        let _ = client.abort(&tid);
-                        Err(())
-                    }
-                };
-                record_outcome(&sink, spec.due, commit_started, outcome);
-            }
-        }));
-    }
-    drop(rx);
-    let start = Instant::now();
-    let arrivals = pace(args, rate, |spec| {
-        let _ = tx.send(spec);
+fn run_point_inproc(args: &Args, rate: f64) -> Point {
+    let cluster = Cluster::new(args.sites, inproc_config());
+    let mut p = LADDER.run_point(&args.ladder, args.sites, rate, || {
+        InprocSession::new(&cluster, args.sites)
     });
-    drop(tx);
-    for h in handles {
-        let _ = h.join();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let result = point_result(&sink, rate, arrivals, elapsed, None);
-    let cluster = Arc::try_unwrap(cluster).ok().expect("sole owner");
     cluster.shutdown();
-    result
-}
-
-/// Runs one transaction over the control plane of a site cluster.
-fn run_txn_sock(ctrls: &mut [CtrlClient], sites: u32, spec: &TxnSpec, sink: &PointSink) {
-    let home = (spec.home.0 - 1) as usize;
-    let remote_site = SiteId(spec.home.0 % sites + 1);
-    let remote = (remote_site.0 - 1) as usize;
-    let Ok(tid) = ctrls[home].begin() else {
-        sink.errors.fetch_add(1, Ordering::Relaxed);
-        return;
-    };
-    let mut participants: Vec<SiteId> = vec![];
-    let body = (|ctrls: &mut [CtrlClient]| -> Result<(), ()> {
-        if spec.read_only {
-            ctrls[home].read(&tid, SRV, spec.key).map_err(|_| ())?;
-            ctrls[home].read(&tid, SRV, spec.key2).map_err(|_| ())?;
-        } else {
-            let mut next = ctrls[home].read(&tid, SRV, spec.key).map_err(|_| ())?;
-            next.extend_from_slice(&spec.idx.to_le_bytes());
-            next.truncate(8);
-            ctrls[home]
-                .write(&tid, SRV, spec.key, next)
-                .map_err(|_| ())?;
-            if spec.distributed {
-                ctrls[remote]
-                    .write(&tid, SRV, spec.key2, spec.idx.to_le_bytes().to_vec())
-                    .map_err(|_| ())?;
-                participants = vec![spec.home, remote_site];
-            }
-        }
-        Ok(())
-    })(ctrls);
-    if body.is_err() {
-        let _ = ctrls[home].abort(&tid, participants);
-        record_outcome(sink, spec.due, Instant::now(), Ok(false));
-        return;
-    }
-    let commit_started = Instant::now();
-    let outcome = match ctrls[home].commit(&tid, spec.nonblocking, participants.clone()) {
-        Ok(committed) => Ok(committed),
-        Err(_) => {
-            let _ = ctrls[home].abort(&tid, participants);
-            Err(())
-        }
-    };
-    record_outcome(sink, spec.due, commit_started, outcome);
+    p.extra_json = "\"transport\": null, \"scope\": null".to_string();
+    p
 }
 
 /// One point against a freshly spawned cluster of site processes.
-fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> PointResult {
+/// Also returns the scrape snapshots taken on a cadence during the
+/// point, for `BENCH_socket_scrape.jsonl`.
+fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> (Point, Option<String>) {
     let bin = sibling_site_bin().unwrap_or_else(|e| {
         eprintln!("camelot-sockbench: {e}");
         std::process::exit(1);
@@ -509,7 +204,7 @@ fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> PointResul
             addr: s.handshake.ctrl,
         })
         .collect();
-    let scrape_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let scrape_stop = Arc::new(AtomicBool::new(false));
     let scrape_handle = {
         let stop = Arc::clone(&scrape_stop);
         std::thread::spawn(move || {
@@ -527,37 +222,9 @@ fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> PointResul
         })
     };
 
-    let sink = Arc::new(PointSink::default());
-    let (tx, rx) = work_channel::<TxnSpec>();
-    let mut handles = Vec::new();
-    for _ in 0..worker_count(rate) {
-        let sink = sink.clone();
-        let rx = rx.clone();
-        let addrs = ctrl_addrs.clone();
-        let nsites = args.sites;
-        handles.push(std::thread::spawn(move || {
-            // Each worker holds its own control connection to every
-            // site: the control plane itself must not serialize the
-            // ladder.
-            let mut ctrls: Vec<CtrlClient> = addrs
-                .iter()
-                .map(|a| CtrlClient::connect(*a).expect("ctrl connect"))
-                .collect();
-            while let Ok(spec) = rx.recv() {
-                run_txn_sock(&mut ctrls, nsites, &spec, &sink);
-            }
-        }));
-    }
-    drop(rx);
-    let start = Instant::now();
-    let arrivals = pace(args, rate, |spec| {
-        let _ = tx.send(spec);
+    let mut p = LADDER.run_point(&args.ladder, args.sites, rate, || {
+        SocketSession::connect(&ctrl_addrs)
     });
-    drop(tx);
-    for h in handles {
-        let _ = h.join();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
 
     // Let in-flight resolutions land, then read the counters.
     wait_quiesce(&mut sites, StdDuration::from_secs(10));
@@ -588,34 +255,12 @@ fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> PointResul
     for s in sites {
         s.shutdown();
     }
-    let mut result = point_result(&sink, rate, arrivals, elapsed, Some(agg));
-    result.scrape = scrape;
-    result.attribution = Some(attribution);
-    result
-}
-
-fn point_result(
-    sink: &PointSink,
-    rate: f64,
-    arrivals: u64,
-    elapsed: f64,
-    transport: Option<TransportStats>,
-) -> PointResult {
-    let commits = sink.commits.load(Ordering::Relaxed);
-    PointResult {
-        offered_per_sec: rate,
-        arrivals,
-        commits,
-        aborts: sink.aborts.load(Ordering::Relaxed),
-        errors: sink.errors.load(Ordering::Relaxed),
-        elapsed_s: elapsed,
-        achieved_commits_per_sec: commits as f64 / elapsed.max(1e-9),
-        total_lat: sink.total.snapshot(),
-        commit_lat: sink.commit.snapshot(),
-        transport,
-        scrape: None,
-        attribution: None,
-    }
+    p.extra_json = format!(
+        "\"transport\": {}, \"scope\": {}",
+        transport_json(&agg),
+        attribution.to_json()
+    );
+    (p, scrape)
 }
 
 fn transport_json(t: &TransportStats) -> String {
@@ -633,119 +278,50 @@ fn transport_json(t: &TransportStats) -> String {
     )
 }
 
-fn point_json(p: &PointResult) -> String {
-    let transport = match &p.transport {
-        Some(t) => transport_json(t),
-        None => "null".to_string(),
-    };
-    let scope = match &p.attribution {
-        Some(a) => a.to_json(),
-        None => "null".to_string(),
-    };
-    format!(
-        "    {{\"offered_per_sec\": {:.1}, \"arrivals\": {}, \"commits\": {}, \"aborts\": {}, \
-         \"errors\": {}, \"elapsed_s\": {:.3}, \"achieved_commits_per_sec\": {:.1}, \
-         \"total_latency\": {}, \"commit_latency\": {}, \"transport\": {}, \"scope\": {}}}",
-        p.offered_per_sec,
-        p.arrivals,
-        p.commits,
-        p.aborts,
-        p.errors,
-        p.elapsed_s,
-        p.achieved_commits_per_sec,
-        hist_json(&p.total_lat),
-        hist_json(&p.commit_lat),
-        transport,
-        scope,
-    )
-}
-
 fn main() {
     let args = Args::parse();
+    let l = &args.ladder;
     println!(
         "camelot-sockbench: {} sites, zipf theta={} over {} keys, {} ms per point, \
          mix {}% read-only / {}% distributed / {}% non-blocking",
-        args.sites,
-        args.theta,
-        args.keys,
-        args.duration_ms,
-        args.read_pct,
-        args.dist_pct,
-        args.nb_pct
+        args.sites, l.theta, l.keys, l.duration_ms, l.read_pct, l.dist_pct, l.nb_pct
     );
 
-    let mut sections = Vec::new();
-    let mut saturation: Vec<(Transport, f64, u64)> = Vec::new();
     let mut scrape_series = format!("{}\n", Collector::header_json(&args.config_text()));
     let mut scraped_points = 0usize;
-    for &transport in &args.transports {
-        println!("\n== transport: {} ==", transport.name());
-        println!(
-            "{:>9} {:>9} {:>8} {:>7} {:>10} {:>10} {:>10}",
-            "offered/s", "commits/s", "aborts", "errors", "p95_tot", "p50_cmt", "p95_cmt"
-        );
-        let mut points = Vec::new();
-        for &rate in &args.rates {
-            let p = match transport {
-                Transport::Inproc => run_point_inproc(&args, rate),
-                Transport::Udp | Transport::Tcp => run_point_sockets(&args, transport, rate),
-            };
-            println!(
-                "{:>9.0} {:>9.1} {:>8} {:>7} {:>8}us {:>8}us {:>8}us",
-                p.offered_per_sec,
-                p.achieved_commits_per_sec,
-                p.aborts,
-                p.errors,
-                p.total_lat.percentile(95.0),
-                p.commit_lat.percentile(50.0),
-                p.commit_lat.percentile(95.0),
-            );
-            if let Some(series) = &p.scrape {
-                scrape_series.push_str(&format!(
-                    "{{\"point\":{{\"transport\":\"{}\",\"offered_per_sec\":{:.1}}}}}\n",
-                    transport.name(),
-                    rate
-                ));
-                scrape_series.push_str(series);
-                scraped_points += 1;
-            }
-            points.push(p);
+    let curves = LADDER.sweep(l, &args.transports, Transport::name, |transport, rate| {
+        if transport == Transport::Inproc {
+            return run_point_inproc(&args, rate);
         }
-        let sat = points
-            .iter()
-            .map(|p| p.achieved_commits_per_sec)
-            .fold(0.0f64, f64::max);
-        // Commit p95 at the lowest offered rate: the uncontended
-        // transport cost, before queueing noise.
-        let base_p95 = points
-            .first()
-            .map(|p| p.commit_lat.percentile(95.0))
-            .unwrap_or(0);
-        println!("saturation: {sat:.1} commits/s");
-        saturation.push((transport, sat, base_p95));
-        let body = points
-            .iter()
-            .map(point_json)
-            .collect::<Vec<_>>()
-            .join(",\n");
-        sections.push(format!(
-            "  {{\"transport\": \"{}\", \"saturation_commits_per_sec\": {:.1}, \
-             \"points\": [\n{}\n  ]}}",
-            transport.name(),
-            sat,
-            body
-        ));
-    }
+        let (p, scrape) = run_point_sockets(&args, transport, rate);
+        if let Some(series) = scrape {
+            scrape_series.push_str(&format!(
+                "{{\"point\":{{\"transport\":\"{}\",\"offered_per_sec\":{:.1}}}}}\n",
+                transport.name(),
+                rate
+            ));
+            scrape_series.push_str(&series);
+            scraped_points += 1;
+        }
+        p
+    });
 
     // The headline: socket tax relative to the in-process baseline.
-    let find = |t: Transport| saturation.iter().find(|(tr, _, _)| *tr == t);
+    // Latency compares commit p95 at the lowest offered rate: the
+    // uncontended transport cost, before queueing noise.
+    let find = |t: Transport| {
+        curves.iter().find(|c| c.name == t.name()).map(|c| {
+            let base_p95 = c.points.first().map(|p| p.commit_lat.percentile(95.0));
+            (c.saturation, base_p95.unwrap_or(0))
+        })
+    };
     let mut tax_parts = Vec::new();
-    if let Some((_, inproc_sat, inproc_p95)) = find(Transport::Inproc) {
+    if let Some((inproc_sat, inproc_p95)) = find(Transport::Inproc) {
         for t in [Transport::Udp, Transport::Tcp] {
-            if let Some((_, sat, p95)) = find(t) {
-                let sat_ratio = if *sat > 0.0 { inproc_sat / sat } else { 0.0 };
-                let lat_ratio = if *inproc_p95 > 0 {
-                    *p95 as f64 / *inproc_p95 as f64
+            if let Some((sat, p95)) = find(t) {
+                let sat_ratio = if sat > 0.0 { inproc_sat / sat } else { 0.0 };
+                let lat_ratio = if inproc_p95 > 0 {
+                    p95 as f64 / inproc_p95 as f64
                 } else {
                     0.0
                 };
@@ -766,38 +342,13 @@ fn main() {
         }
     }
 
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"socket_transports\",\n");
-    json.push_str(&format!(
-        "  \"stamp\": {},\n",
-        stamp_json(&args.config_text())
-    ));
-    json.push_str(&format!(
-        "  \"config\": {{\"sites\": {}, \"theta\": {}, \"keys\": {}, \"duration_ms\": {}, \
-         \"read_pct\": {}, \"dist_pct\": {}, \"nb_pct\": {}, \"seed\": {}}},\n",
-        args.sites,
-        args.theta,
-        args.keys,
-        args.duration_ms,
-        args.read_pct,
-        args.dist_pct,
-        args.nb_pct,
-        args.seed
-    ));
-    json.push_str("  \"transports\": [\n");
-    json.push_str(&sections.join(",\n"));
-    json.push_str("\n  ],\n");
-    json.push_str(&format!("  \"tax\": {{{}}}\n}}\n", tax_parts.join(", ")));
-
-    let out = args.out.clone().unwrap_or_else(|| {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_socket.json")
-            .to_string_lossy()
-            .into_owned()
-    });
-    std::fs::write(&out, json).expect("write BENCH_socket.json");
-    println!("wrote {out}");
+    let out = LADDER.write(
+        l,
+        &args.config_text(),
+        &format!("\"sites\": {}", args.sites),
+        &curves,
+        &[("tax", format!("{{{}}}", tax_parts.join(", ")))],
+    );
 
     // The scrape series rides alongside the bench JSON: one header,
     // then a point-tag line followed by that point's snapshots.
@@ -809,5 +360,25 @@ fn main() {
         };
         std::fs::write(&scrape_out, scrape_series).expect("write scrape series");
         println!("wrote {scrape_out} ({scraped_points} scraped points)");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use camelot_scope::config_hash;
+
+    #[test]
+    fn default_configs_hash_to_the_committed_stamps() {
+        // BENCH_socket.json records the full ladder; the CI knee gate
+        // compares QUICK runs against BENCH_socket_quick.json.
+        assert_eq!(
+            config_hash(&Args::defaults(false).config_text()),
+            "8e9d2ce99ad7d9fe"
+        );
+        assert_eq!(
+            config_hash(&Args::defaults(true).config_text()),
+            "17a3889f948ba7ea"
+        );
     }
 }

@@ -1,11 +1,17 @@
 //! Tier-1 tests for the load-generator building blocks: the seeded
-//! Zipfian sampler and the open-loop arrival schedule. These gate the
-//! believability of every `camelot-load` curve — a skewless sampler or
-//! a drifting pacer would invalidate the contention results silently.
+//! Zipfian sampler, the open-loop arrival schedule, and the ladder
+//! driver's transaction stream. These gate the believability of every
+//! `camelot-load` and `camelot-sockbench` curve — a skewless sampler,
+//! a drifting pacer or a stream that differs between the two ladders
+//! would invalidate their results silently.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use camelot_bench::driver::{Ladder, LadderArgs, Session};
 use camelot_bench::{OpenLoop, SplitMix64, Zipf};
+use camelot_core::CommitMode;
+use camelot_types::{CamelotError, FamilyId, ObjectId, Result, SiteId, Tid};
 
 #[test]
 fn zipf_is_deterministic_for_a_seed() {
@@ -114,5 +120,136 @@ fn open_loop_latency_is_measured_from_scheduled_arrival() {
             delta < Duration::from_micros(50),
             "arrival {i}: off by {delta:?}"
         );
+    }
+}
+
+/// Logs every call the driver makes; commits everything except
+/// transactions that write off their home site, whose remote write
+/// fails so they abort.
+struct Recorder<'a> {
+    log: &'a Mutex<Vec<String>>,
+    home: SiteId,
+}
+
+impl Recorder<'_> {
+    fn log(&self, call: String) {
+        self.log.lock().unwrap().push(call);
+    }
+}
+
+impl Session for Recorder<'_> {
+    fn begin(&mut self, home: SiteId) -> Result<Tid> {
+        self.home = home;
+        self.log(format!("begin {}", home.0));
+        Ok(Tid::top_level(FamilyId {
+            origin: home,
+            seq: 1,
+        }))
+    }
+    fn read(&mut self, _: &Tid, site: SiteId, key: ObjectId) -> Result<Vec<u8>> {
+        self.log(format!("read {}:{}", site.0, key.0));
+        Ok(vec![1, 2])
+    }
+    fn write(&mut self, _: &Tid, site: SiteId, key: ObjectId, v: Vec<u8>) -> Result<Vec<u8>> {
+        self.log(format!("write {}:{} {v:?}", site.0, key.0));
+        if site == self.home {
+            Ok(vec![])
+        } else {
+            Err(CamelotError::SiteDown(site))
+        }
+    }
+    fn abort(&mut self, _: &Tid) {
+        self.log("abort".into());
+    }
+    fn commit(&mut self, _: &Tid, mode: CommitMode) -> Result<bool> {
+        self.log(format!("commit {mode:?}"));
+        Ok(true)
+    }
+}
+
+/// An independent statement of the ladder workload: the calls the
+/// driver must make for arrivals `0..n`. It pins the generator's draw
+/// order (read-only roll, distributed roll for updates only,
+/// non-blocking roll, key, key2), so the recorded ladders' stamped
+/// workloads stay reproducible.
+fn reference_calls(args: &LadderArgs, sites: u64, rate: f64, n: u64) -> Vec<String> {
+    let zipf = Zipf::new(args.keys, args.theta);
+    let mut rng = SplitMix64::new(args.seed ^ (rate as u64));
+    let mut calls = Vec::new();
+    for idx in 0..n {
+        let roll = rng.next_below(100);
+        let read_only = roll < args.read_pct;
+        let distributed = !read_only && rng.next_below(100) < args.dist_pct;
+        let nonblocking = rng.next_below(100) < args.nb_pct;
+        let home = idx % sites + 1;
+        let (key, key2) = (zipf.sample(&mut rng), zipf.sample(&mut rng));
+        calls.push(format!("begin {home}"));
+        calls.push(format!("read {home}:{key}"));
+        if read_only {
+            calls.push(format!("read {home}:{key2}"));
+        } else {
+            let mut next = vec![1, 2];
+            next.extend_from_slice(&idx.to_le_bytes());
+            next.truncate(8);
+            calls.push(format!("write {home}:{key} {next:?}"));
+            if distributed {
+                let idx = idx.to_le_bytes().to_vec();
+                calls.push(format!("write {}:{key2} {idx:?}", home % sites + 1));
+                calls.push("abort".into());
+                continue;
+            }
+        }
+        let mode = if nonblocking {
+            "NonBlocking"
+        } else {
+            "TwoPhase"
+        };
+        calls.push(format!("commit {mode}"));
+    }
+    calls
+}
+
+#[test]
+fn one_seed_and_rate_yield_one_transaction_stream_for_both_ladders() {
+    let rate = 20_000.0;
+    // camelot-load's shape (2 sites, 256 keys), camelot-sockbench's
+    // (3 sites, 64 keys) and its QUICK shape (2 sites, 64 keys).
+    for (sites, keys) in [(2u32, 256), (3, 64), (2, 64)] {
+        let args = LadderArgs::new(vec![rate], keys, 100);
+        let expected = reference_calls(&args, sites as u64, rate, 2000);
+        let aborts = expected.iter().filter(|c| *c == "abort").count() as u64;
+        assert!(aborts > 0 && expected.iter().any(|c| c == "commit NonBlocking"));
+        let mut sorted = expected.clone();
+        sorted.sort();
+        // One worker keeps the calls in arrival order; a pool of many
+        // must still run every arrival exactly once.
+        for workers in [(1, 1), (4, 8)] {
+            let ladder = Ladder {
+                bench: "test",
+                kind: "mode",
+                file: "unused.json",
+                workers,
+            };
+            let log = Mutex::new(Vec::new());
+            let p = ladder.run_point(&args, sites, rate, || Recorder {
+                log: &log,
+                home: SiteId(1),
+            });
+            let mut calls = log.into_inner().unwrap();
+            assert_eq!(p.arrivals, 2000);
+            assert_eq!((p.commits, p.aborts, p.errors), (2000 - aborts, aborts, 0));
+            assert_eq!(p.total_lat.count(), 2000);
+            assert_eq!(p.commit_lat.count(), p.commits);
+            let want = if workers.1 > 1 {
+                calls.sort();
+                &sorted
+            } else {
+                &expected
+            };
+            assert_eq!(
+                &calls, want,
+                "sites={sites} keys={keys} workers={workers:?}"
+            );
+        }
     }
 }

@@ -33,10 +33,8 @@ use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 use camelot_core::{CommitMode, CrashPoint, EngineConfig, ExecMode};
-use camelot_net::Outcome;
-use camelot_rt::{
-    budget_for, count_family, AuditProtocol, Cluster, FaultPlan, LinkDecision, RtConfig, TraceEvent,
-};
+use camelot_net::{FaultPlan, LinkDecision, Outcome};
+use camelot_rt::{budget_for, count_family, AuditProtocol, Cluster, RtConfig, TraceEvent};
 use camelot_scope::{merge_skew_aware, ScopeEvent};
 use camelot_types::{CamelotError, FamilyId, ObjectId, ServerId, SiteId, Tid};
 

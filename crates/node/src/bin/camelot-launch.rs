@@ -21,7 +21,9 @@ use std::path::PathBuf;
 use std::process::exit;
 use std::time::{Duration as StdDuration, Instant};
 
-use camelot_node::procs::{sibling_site_bin, Supervisor, SupervisorConfig};
+use camelot_node::procs::{
+    bail_on_budget_exhaustion, balance, sibling_site_bin, Supervisor, SupervisorConfig,
+};
 use camelot_types::{CamelotError, ObjectId, ServerId, SiteId, Tid};
 
 const SRV: ServerId = ServerId(1);
@@ -89,14 +91,6 @@ fn parse_opts() -> Opts {
     opts
 }
 
-fn balance(raw: &[u8]) -> i64 {
-    if raw.is_empty() {
-        0
-    } else {
-        i64::from_le_bytes(raw.try_into().expect("8-byte balance"))
-    }
-}
-
 /// SplitMix64: cheap deterministic stream for workload choices.
 fn mix(x: &mut u64) -> u64 {
     *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -104,26 +98,6 @@ fn mix(x: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Prints failed-site post-mortems and exits nonzero if any site has
-/// burned its restart budget.
-fn bail_on_budget_exhaustion(sup: &Supervisor) {
-    let failed = sup.failed_sites();
-    if failed.is_empty() {
-        return;
-    }
-    for f in &failed {
-        eprintln!(
-            "camelot-launch: site {} exhausted its restart budget (last exit: {})",
-            f.site.0, f.status
-        );
-        eprintln!("camelot-launch: site {} last stderr lines:", f.site.0);
-        for line in &f.stderr_tail {
-            eprintln!("  | {line}");
-        }
-    }
-    exit(1);
 }
 
 fn main() {
@@ -172,7 +146,7 @@ fn main() {
     let mut failed = 0u32;
     for t in 0..opts.txns {
         sup.poll();
-        bail_on_budget_exhaustion(&sup);
+        bail_on_budget_exhaustion(&sup, "camelot-launch");
         if opts.kill_every > 0 && t > 0 && t % opts.kill_every == 0 {
             let victim = SiteId((mix(&mut rng) % opts.sites as u64) as u32 + 1);
             if sup.kill_site(victim) {
@@ -214,7 +188,7 @@ fn main() {
     if !sup.wait_all_up(StdDuration::from_secs(20)) {
         eprintln!("camelot-launch: not all sites came back up");
     }
-    bail_on_budget_exhaustion(&sup);
+    bail_on_budget_exhaustion(&sup, "camelot-launch");
 
     // A non-blocking commit returns at quorum; subordinates apply the
     // outcome in phase three. Audit only after the protocol quiesces.

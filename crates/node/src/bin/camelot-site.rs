@@ -37,10 +37,10 @@ use std::time::Duration as StdDuration;
 use camelot_core::CommitMode;
 use camelot_net::{FaultPlan, FrameDecoder, SocketConfig, SocketMode, SocketTransport};
 use camelot_node::ctrl::{
-    read_framed, write_framed, CtrlClient, CtrlReply, CtrlRequest, Handshake, SiteStatsWire,
+    read_framed, write_framed, CtrlReply, CtrlRequest, Handshake, SiteStatsWire,
 };
+use camelot_node::procs::fast_engine;
 use camelot_rt::{Client, Cluster, RemoteNet, RtConfig, SiteStats, TraceEventKind};
-use camelot_types::Duration;
 use camelot_types::{CamelotError, FamilyId, SiteId};
 
 struct Opts {
@@ -129,25 +129,6 @@ fn parse_opts() -> Opts {
         usage();
     }
     opts
-}
-
-/// Engine timeouts scaled for localhost tests: protocol recovery
-/// (vote timeouts, inquiries, takeovers) in hundreds of milliseconds
-/// instead of the paper-scale seconds, so an end-to-end test that
-/// kills a site converges quickly.
-fn fast_engine() -> camelot_core::EngineConfig {
-    camelot_core::EngineConfig {
-        vote_timeout: Duration::from_millis(800),
-        inquiry_interval: Duration::from_millis(500),
-        notify_resend_interval: Duration::from_millis(400),
-        nb_outcome_timeout: Duration::from_millis(700),
-        takeover_window: Duration::from_millis(300),
-        recruit_window: Duration::from_millis(300),
-        takeover_retry: Duration::from_millis(600),
-        retry_cap: Duration::from_secs(5),
-        orphan_check_interval: Duration::from_secs(1),
-        ..camelot_core::EngineConfig::default()
-    }
 }
 
 /// Bridges the partial cluster's non-local datagrams onto the socket
@@ -394,16 +375,6 @@ fn handle(
             fault.heal();
             CtrlReply::Ok
         }
-        // Legacy whole-ring drain, now bounded: serving one default-
-        // size chunk keeps any caller inside the 1 MiB frame cap (a
-        // full ring rendered into one frame used to panic the ctrl
-        // thread). Callers loop until empty, exactly like
-        // `DrainTraceChunk`.
-        CtrlRequest::DrainTrace => CtrlReply::Trace {
-            jsonl: camelot_rt::to_jsonl(
-                &cluster.drain_trace_chunk(CtrlClient::DRAIN_CHUNK as usize),
-            ),
-        },
         CtrlRequest::DrainTraceChunk { max_events } => CtrlReply::Trace {
             jsonl: camelot_rt::to_jsonl(&cluster.drain_trace_chunk(max_events as usize)),
         },

@@ -86,8 +86,6 @@ pub enum CtrlRequest {
     ArmCrash { point: CrashPoint },
     /// Stop all fault injection on this site's plan.
     Heal,
-    /// Drain the site's trace ring as JSON Lines.
-    DrainTrace,
     /// Clean process exit.
     Shutdown,
     /// Snapshot the data-plane transport's outbound counters.
@@ -112,9 +110,8 @@ pub enum CtrlRequest {
     /// scrape endpoint the `camelot-scope` collector polls.
     EngineStats,
     /// Drain at most `max_events` trace events as JSON Lines. Repeat
-    /// until an empty reply: unlike [`CtrlRequest::DrainTrace`], a
-    /// chunked drain can never exceed the frame cap however large the
-    /// ring has grown.
+    /// until an empty reply: a chunked drain can never exceed the frame
+    /// cap however large the ring has grown.
     DrainTraceChunk { max_events: u32 },
     /// Test hook: emit `events` synthetic trace events into the
     /// site's ring, so harnesses can provoke oversized rings without
@@ -133,7 +130,8 @@ const Q_COMMITTED_VALUE: u8 = 8;
 const Q_DEBUG_STATE: u8 = 9;
 const Q_ARM_CRASH: u8 = 10;
 const Q_HEAL: u8 = 11;
-const Q_DRAIN_TRACE: u8 = 12;
+// Tag 12 was the unchunked whole-ring trace drain; it stays unassigned
+// so an old client gets a typed decode error, not a different request.
 const Q_SHUTDOWN: u8 = 13;
 const Q_TRANSPORT_STATS: u8 = 14;
 const Q_FAULT_STATS: u8 = 15;
@@ -202,7 +200,6 @@ impl Wire for CtrlRequest {
                 w.put_u8(point.to_wire());
             }
             CtrlRequest::Heal => w.put_u8(Q_HEAL),
-            CtrlRequest::DrainTrace => w.put_u8(Q_DRAIN_TRACE),
             CtrlRequest::Shutdown => w.put_u8(Q_SHUTDOWN),
             CtrlRequest::TransportStats => w.put_u8(Q_TRANSPORT_STATS),
             CtrlRequest::FaultStats => w.put_u8(Q_FAULT_STATS),
@@ -269,7 +266,6 @@ impl Wire for CtrlRequest {
                 CtrlRequest::ArmCrash { point }
             }
             Q_HEAL => CtrlRequest::Heal,
-            Q_DRAIN_TRACE => CtrlRequest::DrainTrace,
             Q_SHUTDOWN => CtrlRequest::Shutdown,
             Q_TRANSPORT_STATS => CtrlRequest::TransportStats,
             Q_FAULT_STATS => CtrlRequest::FaultStats,
@@ -1033,7 +1029,6 @@ mod tests {
                 point: CrashPoint::PostForcePreSend,
             },
             CtrlRequest::Heal,
-            CtrlRequest::DrainTrace,
             CtrlRequest::Shutdown,
             CtrlRequest::TransportStats,
             CtrlRequest::FaultStats,
@@ -1174,6 +1169,14 @@ mod tests {
         assert!(CtrlReply::from_bytes(&[99]).is_err());
         // Bad crash-point byte inside an otherwise valid ArmCrash.
         assert!(CtrlRequest::from_bytes(&[super::Q_ARM_CRASH, 77]).is_err());
+    }
+
+    #[test]
+    fn retired_unchunked_drain_tag_is_unknown() {
+        assert_eq!(
+            CtrlRequest::from_bytes(&[12]),
+            Err(CamelotError::Codec("unknown ctrl request 12".into()))
+        );
     }
 
     #[test]

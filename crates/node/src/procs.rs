@@ -65,11 +65,32 @@ pub struct SpawnSpec<'a> {
     pub transport: &'a str,
     /// WAL directory for this site; `None` uses a fresh temp dir.
     pub log_dir: Option<&'a Path>,
-    /// Use the fast engine timer profile (`--fast`); benchmarks and
-    /// tests want this, long-lived clusters may not.
+    /// Use the fast engine timer profile (`--fast`, [`fast_engine`]);
+    /// benchmarks and tests want this, long-lived clusters may not.
     pub fast: bool,
     /// Extra raw arguments (fault injection flags, trace output, ...).
     pub extra: &'a [String],
+}
+
+/// The engine timer profile `camelot-site --fast` runs: protocol
+/// recovery (vote timeouts, inquiries, takeovers) in hundreds of
+/// milliseconds instead of the paper-scale seconds, so a localhost
+/// test that kills a site converges quickly. In-process baselines use
+/// it to run the same protocol configuration as the site processes.
+pub fn fast_engine() -> camelot_core::EngineConfig {
+    use camelot_types::Duration;
+    camelot_core::EngineConfig {
+        vote_timeout: Duration::from_millis(800),
+        inquiry_interval: Duration::from_millis(500),
+        notify_resend_interval: Duration::from_millis(400),
+        nb_outcome_timeout: Duration::from_millis(700),
+        takeover_window: Duration::from_millis(300),
+        recruit_window: Duration::from_millis(300),
+        takeover_retry: Duration::from_millis(600),
+        retry_cap: Duration::from_secs(5),
+        orphan_check_interval: Duration::from_secs(1),
+        ..camelot_core::EngineConfig::default()
+    }
 }
 
 /// Locates the `camelot-site` binary next to the current executable.
@@ -604,4 +625,46 @@ fn serve_supervisor_ctrl(restarts: Arc<Mutex<Vec<u32>>>) -> std::io::Result<std:
         }
     });
     Ok(addr)
+}
+
+/// Prints each failed site's post-mortem (exit status and stderr
+/// tail), prefixed with `prog`, and exits 1 if any site has burned its
+/// restart budget. Returns when every site is still supervised.
+pub fn bail_on_budget_exhaustion(sup: &Supervisor, prog: &str) {
+    let failed = sup.failed_sites();
+    if failed.is_empty() {
+        return;
+    }
+    for f in &failed {
+        eprintln!(
+            "{prog}: site {} exhausted its restart budget (last exit: {})",
+            f.site.0, f.status
+        );
+        eprintln!("{prog}: site {} last stderr lines:", f.site.0);
+        for line in &f.stderr_tail {
+            eprintln!("  | {line}");
+        }
+    }
+    std::process::exit(1);
+}
+
+/// Decodes a bank-account object: a little-endian `i64`, with a
+/// never-written (empty) object reading as 0.
+pub fn balance(raw: &[u8]) -> i64 {
+    if raw.is_empty() {
+        0
+    } else {
+        i64::from_le_bytes(raw.try_into().expect("8-byte balance"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::balance;
+
+    #[test]
+    fn balance_reads_little_endian_and_empty_as_zero() {
+        assert_eq!(balance(&[]), 0);
+        assert_eq!(balance(&(-42i64).to_le_bytes()), -42);
+    }
 }

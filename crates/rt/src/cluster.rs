@@ -43,17 +43,17 @@ use camelot_obs::{
     Phase, PhaseHistograms, ProtocolPhaseHistograms, TraceEvent, TraceEventKind, TraceRing, Tracer,
 };
 use camelot_server::{recover as server_recover, DataServer, OpReply};
-use camelot_types::{FamilyId, Lsn, Result, ServerId, SiteId, Time};
+use camelot_types::{CamelotError, FamilyId, Lsn, Result, ServerId, SiteId, Time};
 use camelot_wal::{
     BatchPolicy, BatcherAction, FileStore, GroupCommitBatcher, LogRecord, MemStore, ReqId,
     StableStore, Wal,
 };
 
 use crate::client::Client;
-use crate::fault::{FaultPlan, LinkDecision};
 use crate::queue::{queue_worker, QueueJob, VoteAgg};
 use crate::shardmap::ShardedMap;
 use crate::stats::{add_engine_stats, add_server_stats, ClusterStats, SiteCounters, SiteStats};
+use camelot_net::{FaultPlan, LinkDecision};
 
 /// Runtime configuration.
 #[derive(Debug, Clone)]
@@ -902,15 +902,24 @@ impl Cluster {
     /// snapshot plus the checkpoint marker, forced to the log. After
     /// this, records older than the snapshot that belong to resolved
     /// transactions are truncatable.
-    pub fn checkpoint(&self, site: SiteId) {
+    ///
+    /// A crashed site takes no checkpoint and returns
+    /// [`CamelotError::SiteDown`]: its servers' state is gone, and its
+    /// log belongs to the next restart. A failed append or force is
+    /// returned as is.
+    pub fn checkpoint(&self, site: SiteId) -> Result<()> {
         let s = self.inner.sites.get(&site).expect("unknown site");
         let mut wal = s.wal.lock();
+        if !s.alive.load(Ordering::SeqCst) {
+            return Err(CamelotError::SiteDown(site));
+        }
         for server in s.servers.values() {
             let snap = server.lock().snapshot();
-            let _ = wal.append(&snap);
+            wal.append(&snap)?;
         }
-        let _ = wal.append(&LogRecord::Checkpoint);
-        let _ = wal.force();
+        wal.append(&LogRecord::Checkpoint)?;
+        wal.force()?;
+        Ok(())
     }
 
     /// One-line-per-entity diagnostic dump of a site's protocol

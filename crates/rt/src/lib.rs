@@ -28,16 +28,16 @@
 //! recovery paths), so the examples can demonstrate non-blocking
 //! commitment surviving a coordinator failure *for real*.
 //!
-//! For robustness testing, a [`FaultPlan`] installed at construction
-//! injects link faults (drop / delay / duplicate per datagram), kills
-//! sites at named [`CrashPoint`]s in the log pipeline, and — through
+//! For robustness testing, a [`FaultPlan`](camelot_net::FaultPlan)
+//! installed at construction (the same plan type the socket transport
+//! uses) injects link faults (drop / delay / duplicate per datagram),
+//! kills sites at named [`CrashPoint`]s in the log pipeline, and — through
 //! [`Cluster::wal_image`] / [`Cluster::set_wal_image`] — lets a
 //! harness corrupt the durable log between crash and restart to
 //! exercise the typed recovery-failure path.
 
 pub mod client;
 pub mod cluster;
-pub mod fault;
 mod queue;
 mod shardmap;
 pub mod stats;
@@ -50,5 +50,4 @@ pub use camelot_obs::{
 pub use camelot_wal::BatchPolicy;
 pub use client::Client;
 pub use cluster::{Cluster, RemoteNet, RtConfig};
-pub use fault::{FaultPlan, FaultStats, LinkDecision};
 pub use stats::{ClusterStats, SiteStats};

@@ -367,7 +367,7 @@ fn checkpoint_then_crash_recovers_from_snapshot() {
         client.write(&tid, S1, SRV, ObjectId(obj), val).unwrap();
         client.commit(&tid, CommitMode::TwoPhase).unwrap();
     }
-    cluster.checkpoint(S1);
+    cluster.checkpoint(S1).expect("checkpoint");
     // Post-checkpoint activity: an overwrite and an uncommitted write.
     let tid = client.begin().unwrap();
     client
@@ -385,6 +385,26 @@ fn checkpoint_then_crash_recovers_from_snapshot() {
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(1)), b"one-v2");
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(2)), b"two");
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(3)), b"");
+    cluster.shutdown();
+}
+
+#[test]
+fn checkpoint_of_a_crashed_site_is_refused_and_leaves_its_log_alone() {
+    let cluster = Cluster::new(1, quick_cfg());
+    let client = cluster.client(S1);
+    let tid = client.begin().unwrap();
+    client
+        .write(&tid, S1, SRV, ObjectId(1), b"one".to_vec())
+        .unwrap();
+    client.commit(&tid, CommitMode::TwoPhase).unwrap();
+    cluster.crash(S1);
+    let before = cluster.wal_image(S1).unwrap();
+    assert_eq!(cluster.checkpoint(S1), Err(CamelotError::SiteDown(S1)));
+    assert_eq!(cluster.wal_image(S1).unwrap(), before);
+    // The refused checkpoint does not get in the way of recovery.
+    cluster.restart(S1).unwrap();
+    assert_eq!(cluster.committed_value(S1, SRV, ObjectId(1)), b"one");
+    cluster.checkpoint(S1).expect("checkpoint after restart");
     cluster.shutdown();
 }
 

@@ -13,7 +13,8 @@ use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 use camelot_core::CommitMode;
-use camelot_rt::{Cluster, CrashPoint, FaultPlan, RtConfig};
+use camelot_net::FaultPlan;
+use camelot_rt::{Cluster, CrashPoint, RtConfig};
 use camelot_types::{CamelotError, ObjectId, ServerId, SiteId};
 
 const S1: SiteId = SiteId(1);

@@ -138,8 +138,8 @@ fn window_policy_with_concurrent_checkpoints() {
         let stop = stop.clone();
         std::thread::spawn(move || {
             while stop.load(Ordering::Relaxed) == 0 {
-                cluster.checkpoint(SiteId(1));
-                cluster.checkpoint(SiteId(2));
+                cluster.checkpoint(SiteId(1)).expect("checkpoint site 1");
+                cluster.checkpoint(SiteId(2)).expect("checkpoint site 2");
                 std::thread::sleep(StdDuration::from_millis(3));
             }
         })

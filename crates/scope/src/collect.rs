@@ -290,12 +290,7 @@ impl Collector {
         if let Some(addr) = supervisor {
             if let Ok(mut ctrl) = CtrlClient::connect_with(addr, 2) {
                 if let Ok(counts) = ctrl.restart_stats() {
-                    snap.restarts = Some(
-                        counts
-                            .iter()
-                            .map(|e| (e.site.0, e.restarts))
-                            .collect(),
-                    );
+                    snap.restarts = Some(counts.iter().map(|e| (e.site.0, e.restarts)).collect());
                 }
             }
         }

@@ -47,6 +47,20 @@ struct FamScan {
     aborted_subtrees: Vec<Tid>,
 }
 
+impl FamScan {
+    /// The family committed and was not aborted: its updates are redone.
+    fn redo(&self) -> bool {
+        self.committed && !self.aborted
+    }
+
+    /// `tid` lies in a subtree aborted before the crash.
+    fn in_aborted_subtree(&self, tid: &Tid) -> bool {
+        self.aborted_subtrees
+            .iter()
+            .any(|a| a.is_self_or_ancestor_of(tid))
+    }
+}
+
 /// Rebuilds one data server's state from the durable log records of
 /// its site (records of other servers are ignored).
 ///
@@ -120,14 +134,9 @@ pub fn recover(site: SiteId, id: ServerId, records: &[LogRecord]) -> RecoveredSe
         let scan = scans.get_mut(&f).expect("key exists");
         let live_updates: Vec<_> = std::mem::take(&mut scan.updates)
             .into_iter()
-            .filter(|(tid, ..)| {
-                !scan
-                    .aborted_subtrees
-                    .iter()
-                    .any(|a| a.is_self_or_ancestor_of(tid))
-            })
+            .filter(|(tid, ..)| !scan.in_aborted_subtree(tid))
             .collect();
-        if scan.committed && !scan.aborted {
+        if scan.redo() {
             redone.push(f);
         } else if scan.aborted || !scan.prepared {
             // Undo: nothing to install (the store holds pre-images).
@@ -142,7 +151,8 @@ pub fn recover(site: SiteId, id: ServerId, records: &[LogRecord]) -> RecoveredSe
     }
     // Redo: one pass over the whole log installs committed new-values
     // exactly in the order they were originally applied, interleaving
-    // across families.
+    // across families. Each update finds its family's verdict by one
+    // hash lookup, so the pass stays linear in the log's length.
     for rec in records {
         let LogRecord::ServerUpdate {
             tid,
@@ -154,18 +164,13 @@ pub fn recover(site: SiteId, id: ServerId, records: &[LogRecord]) -> RecoveredSe
         else {
             continue;
         };
-        if *srv != id || !redone.contains(&tid.family) {
+        if *srv != id {
             continue;
         }
-        let aborted_subtree = scans
+        let redo = scans
             .get(&tid.family)
-            .map(|s| {
-                s.aborted_subtrees
-                    .iter()
-                    .any(|a| a.is_self_or_ancestor_of(tid))
-            })
-            .unwrap_or(false);
-        if !aborted_subtree {
+            .is_some_and(|s| s.redo() && !s.in_aborted_subtree(tid));
+        if redo {
             server.install_committed(*object, new.clone());
         }
     }
