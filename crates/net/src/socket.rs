@@ -263,7 +263,9 @@ impl SocketTransport {
             let (tx, rx) = mpsc::channel();
             *inner.tcp_rx.lock().unwrap() = Some(rx);
             let accept_inner = Arc::clone(&inner);
-            thread::spawn(move || accept_loop(accept_inner, listener, tx));
+            spawn_named("net-accept".into(), move || {
+                accept_loop(accept_inner, listener, tx)
+            });
         }
         Ok(SocketTransport { inner })
     }
@@ -477,7 +479,7 @@ impl Inner {
             LinkDecision::Drop => {}
             LinkDecision::Delay(d) => {
                 let inner = Arc::clone(self);
-                thread::spawn(move || {
+                spawn_named("net-delay".into(), move || {
                     thread::sleep(d);
                     if !inner.shutdown.load(Ordering::SeqCst) {
                         inner.enqueue(to, frame);
@@ -487,7 +489,7 @@ impl Inner {
             LinkDecision::Duplicate(d) => {
                 self.enqueue(to, frame.clone());
                 let inner = Arc::clone(self);
-                thread::spawn(move || {
+                spawn_named("net-delay".into(), move || {
                     thread::sleep(d);
                     if !inner.shutdown.load(Ordering::SeqCst) {
                         inner.enqueue(to, frame);
@@ -510,7 +512,9 @@ impl Inner {
                     queues.insert(to, Arc::clone(&q));
                     let inner = Arc::clone(self);
                     let dq = Arc::clone(&q);
-                    thread::spawn(move || drain_peer(inner, to, dq));
+                    spawn_named(format!("net-send-{}", to.0), move || {
+                        drain_peer(inner, to, dq)
+                    });
                     q
                 }
             }
@@ -669,6 +673,15 @@ fn tcp_connect(inner: &Inner, to: SiteId, link: &mut PeerLink) -> bool {
     }
 }
 
+/// Spawns a transport thread under `name` (visible in
+/// `/proc/<pid>/task/*/comm` and `top -H`).
+fn spawn_named(name: String, f: impl FnOnce() + Send + 'static) {
+    thread::Builder::new()
+        .name(name)
+        .spawn(f)
+        .expect("spawn transport thread");
+}
+
 /// TCP acceptor: picks up inbound connections and spawns one reader
 /// per stream. Frame payloads (not yet decoded as envelopes) flow into
 /// `tx`; the receive loop decodes on its own thread.
@@ -679,7 +692,7 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener, tx: Sender<Vec<u8>>) {
                 let _ = stream.set_read_timeout(Some(StdDuration::from_millis(50)));
                 let inner = Arc::clone(&inner);
                 let tx = tx.clone();
-                thread::spawn(move || read_loop(inner, stream, tx));
+                spawn_named("net-recv".into(), move || read_loop(inner, stream, tx));
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 thread::sleep(StdDuration::from_millis(5));

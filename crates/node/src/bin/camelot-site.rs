@@ -208,17 +208,20 @@ fn main() {
     {
         let cluster = Arc::clone(&cluster);
         let transport = Arc::clone(&transport);
-        thread::spawn(move || loop {
-            match transport.recv() {
-                Ok(Some(delivery)) => {
-                    for msg in delivery.messages {
-                        cluster.inject_datagram(delivery.from, site, msg);
+        thread::Builder::new()
+            .name("net-recv".into())
+            .spawn(move || loop {
+                match transport.recv() {
+                    Ok(Some(delivery)) => {
+                        for msg in delivery.messages {
+                            cluster.inject_datagram(delivery.from, site, msg);
+                        }
                     }
+                    Ok(None) => {}
+                    Err(e) => eprintln!("site {}: data recv error: {e}", site.0),
                 }
-                Ok(None) => {}
-                Err(e) => eprintln!("site {}: data recv error: {e}", site.0),
-            }
-        });
+            })
+            .expect("spawn receive thread");
     }
 
     // Watchdog: an armed crash point kills the site inside the

@@ -50,6 +50,7 @@ use camelot_wal::{
 };
 
 use crate::client::Client;
+use crate::delay::{DelayQueue, TimerKey};
 use crate::queue::{queue_worker, QueueJob, VoteAgg};
 use crate::shardmap::ShardedMap;
 use crate::stats::{add_engine_stats, add_server_stats, ClusterStats, SiteCounters, SiteStats};
@@ -190,12 +191,9 @@ pub(crate) enum RouterJob {
         at: Instant,
         to: SiteId,
         input: Input,
-        timer: Option<(SiteId, TimerToken)>,
+        timer: Option<TimerKey>,
     },
-    CancelTimer {
-        site: SiteId,
-        token: TimerToken,
-    },
+    CancelTimer(TimerKey),
     Stop,
 }
 
@@ -225,8 +223,9 @@ pub(crate) struct SiteShared {
     /// Queued execution mode: one FIFO sender per data shard (empty
     /// in lock-based mode).
     pub queue_txs: Vec<Sender<QueueJob>>,
-    /// Crash incarnation; queued ops stamped with an older value are
-    /// dropped (their speculative state died with the site).
+    /// Crash incarnation; queued ops and router timers stamped with an
+    /// older value are dropped (their speculative state and their
+    /// engines died with the site).
     pub incarnation: AtomicU64,
     /// Queued mode: (family, server) pairs whose join-transaction has
     /// been delivered, deduplicating joins across shards.
@@ -265,6 +264,15 @@ impl SiteShared {
             Input::Datagram { msg, .. } => shard_of_family(self.id, &msg.tid().family, n),
             Input::LogForced { token } | Input::LogDurable { token } => shard_of_token(token.0, n),
             Input::TimerFired { token } => shard_of_token(token.0, n),
+        }
+    }
+
+    /// Names engine timer `token` in this site's current incarnation.
+    fn timer_key(&self, token: TimerToken) -> TimerKey {
+        TimerKey {
+            site: self.id,
+            incarnation: self.incarnation.load(Ordering::SeqCst),
+            token,
         }
     }
 
@@ -588,14 +596,13 @@ impl ClusterInner {
                         at,
                         to: site.id,
                         input: Input::TimerFired { token },
-                        timer: Some((site.id, token)),
+                        timer: Some(site.timer_key(token)),
                     });
                 }
                 Action::CancelTimer { token } => {
-                    let _ = self.router_tx.send(RouterJob::CancelTimer {
-                        site: site.id,
-                        token,
-                    });
+                    let _ = self
+                        .router_tx
+                        .send(RouterJob::CancelTimer(site.timer_key(token)));
                 }
             }
         }
@@ -736,7 +743,9 @@ impl Cluster {
         // Router.
         {
             let inner = inner.clone();
-            handles.push(std::thread::spawn(move || router_main(inner, router_rx)));
+            handles.push(spawn_named("rt-router", move || {
+                router_main(inner, router_rx)
+            }));
         }
         // Per-site workers.
         for (id, tm_rx, disk_rx, queue_rxs) in site_channels {
@@ -745,16 +754,18 @@ impl Cluster {
                 let inner = inner.clone();
                 let site = site.clone();
                 let rx = tm_rx.clone();
-                handles.push(std::thread::spawn(move || tm_worker(inner, site, rx)));
+                handles.push(spawn_named("rt-tm", move || tm_worker(inner, site, rx)));
             }
             for rx in queue_rxs {
                 let inner = inner.clone();
                 let site = site.clone();
-                handles.push(std::thread::spawn(move || queue_worker(inner, site, rx)));
+                handles.push(spawn_named("rt-queue", move || {
+                    queue_worker(inner, site, rx)
+                }));
             }
             let inner2 = inner.clone();
             let site2 = site.clone();
-            handles.push(std::thread::spawn(move || {
+            handles.push(spawn_named("rt-disk", move || {
                 disk_main(inner2, site2, disk_rx)
             }));
         }
@@ -1108,6 +1119,15 @@ impl Cluster {
     }
 }
 
+/// Spawns a runtime thread under `name`, so per-thread CPU can be read
+/// off `/proc/<pid>/task/*/comm` or `top -H` with no instrumentation.
+fn spawn_named(name: &str, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(f)
+        .expect("spawn runtime thread")
+}
+
 /// One TranMan worker. Any thread serves any input (§3.4); the input's
 /// transaction family picks the engine shard, so threads working on
 /// different families hold different locks.
@@ -1395,70 +1415,39 @@ fn drain_lazy(site: &SiteShared, durable: Lsn) {
     }
 }
 
-/// The router: delayed delivery of datagrams and timer firings, with
-/// cancellation; drops traffic to dead sites.
+/// The router: delayed delivery of datagrams and timer firings through
+/// a [`DelayQueue`], with cancellation; drops traffic to dead sites.
 fn router_main(inner: Arc<ClusterInner>, rx: Receiver<RouterJob>) {
-    struct Entry {
-        at: Instant,
-        seq: u64,
-        to: SiteId,
-        input: Input,
-        timer: Option<(SiteId, TimerToken)>,
-    }
-    let mut heap: Vec<Entry> = Vec::new();
-    let mut cancelled: HashSet<(SiteId, TimerToken)> = HashSet::new();
-    let mut seq = 0u64;
+    let mut queue = DelayQueue::default();
+    let incarnation = |id: SiteId| {
+        inner
+            .sites
+            .get(&id)
+            .map_or(0, |s| s.incarnation.load(Ordering::SeqCst))
+    };
     loop {
-        let timeout = heap
-            .iter()
-            .map(|e| e.at)
-            .min()
-            .map(|at| at.saturating_duration_since(Instant::now()))
-            .unwrap_or(StdDuration::from_millis(50));
+        let timeout = queue
+            .next_deadline()
+            .map_or(StdDuration::from_millis(50), |at| {
+                at.saturating_duration_since(Instant::now())
+            });
         match rx.recv_timeout(timeout) {
             Ok(RouterJob::Stop) => return,
-            Ok(RouterJob::CancelTimer { site, token }) => {
-                cancelled.insert((site, token));
-            }
+            Ok(RouterJob::CancelTimer(key)) => queue.cancel(key),
             Ok(RouterJob::Deliver {
                 at,
                 to,
                 input,
                 timer,
-            }) => {
-                seq += 1;
-                heap.push(Entry {
-                    at,
-                    seq,
-                    to,
-                    input,
-                    timer,
-                });
-            }
+            }) => queue.push(at, to, input, timer),
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
             Err(_) => return,
         }
-        // Deliver everything due.
         let now = Instant::now();
-        let mut due: Vec<Entry> = Vec::new();
-        let mut i = 0;
-        while i < heap.len() {
-            if heap[i].at <= now {
-                due.push(heap.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        due.sort_by_key(|e| (e.at, e.seq));
-        for e in due {
-            if let Some(key) = e.timer {
-                if cancelled.remove(&key) {
-                    continue;
-                }
-            }
-            if let Some(site) = inner.sites.get(&e.to) {
+        while let Some((to, input)) = queue.pop_due(now, incarnation) {
+            if let Some(site) = inner.sites.get(&to) {
                 if site.alive.load(Ordering::SeqCst) {
-                    let _ = site.tm_tx.send(Some(e.input));
+                    let _ = site.tm_tx.send(Some(input));
                 }
             }
         }

@@ -18,8 +18,9 @@
 //!   only drives the group-commit batcher (§3.5) and performs platter
 //!   writes *without holding the log lock*, double-buffer style;
 //! - a **router thread** — the NetMsgServer stand-in: delivers
-//!   inter-site datagrams after a configurable delay, drops traffic
-//!   to crashed sites;
+//!   inter-site datagrams after a configurable delay and fires engine
+//!   timers, both from one deadline heap, and drops traffic to
+//!   crashed sites;
 //! - **client handles** — synchronous begin / read / write / commit /
 //!   abort calls, like an application making Mach RPCs.
 //!
@@ -38,6 +39,7 @@
 
 pub mod client;
 pub mod cluster;
+mod delay;
 mod queue;
 mod shardmap;
 pub mod stats;

@@ -471,3 +471,48 @@ fn deadlock_resolves_via_call_timeout_and_abort() {
         Err(_) => panic!("cluster still referenced"),
     }
 }
+
+#[test]
+fn timer_armed_before_a_crash_does_not_fire_into_the_restarted_site() {
+    // A restarted site's engine numbers its timers from the start
+    // again, so the vote timeout of a commit cut short by the crash
+    // and the vote timeout of the first commit after the restart share
+    // a token. The stale one comes due while the new commit is still
+    // collecting its (slow) vote; it must not abort that commit.
+    let mut cfg = quick_cfg();
+    cfg.datagram_delay = StdDuration::from_millis(200);
+    cfg.engine_shards = 1;
+    cfg.call_timeout = StdDuration::from_secs(2);
+    cfg.engine.vote_timeout = camelot_types::Duration::from_millis(1000);
+    let cluster = Cluster::new(2, cfg);
+    let started = std::time::Instant::now();
+    let a = cluster.client(S1);
+    let ta = a.begin().unwrap();
+    a.write(&ta, S2, SRV, ObjectId(1), b"a".to_vec()).unwrap();
+    // The coordinator arms its vote timeout and dies before the vote
+    // comes back (the round trip takes 400 ms).
+    let h = std::thread::spawn(move || a.commit(&ta, CommitMode::TwoPhase));
+    std::thread::sleep(StdDuration::from_millis(50));
+    cluster.crash(S1);
+    cluster.restart(S1).unwrap();
+    // Commit again so that the stale timeout (due at ~1000 ms) falls
+    // inside this commit's vote round trip (~750..1150 ms).
+    std::thread::sleep(StdDuration::from_millis(750).saturating_sub(started.elapsed()));
+    let b = cluster.client(S1);
+    // The crashed commit left nothing in the log, so the restarted
+    // engine hands its family id out again. Use that id up on a
+    // transaction left open (a begin arms no timer) so the commit
+    // below runs under a fresh family.
+    let _reused = b.begin().unwrap();
+    let tb = b.begin().unwrap();
+    b.write(&tb, S2, SRV, ObjectId(2), b"b".to_vec()).unwrap();
+    assert_eq!(
+        b.commit(&tb, CommitMode::TwoPhase).unwrap(),
+        Outcome::Committed
+    );
+    assert!(
+        h.join().unwrap().is_err(),
+        "the crashed commit never resolves"
+    );
+    cluster.shutdown();
+}
